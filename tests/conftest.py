@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -13,6 +14,46 @@ if str(REPO_ROOT) not in sys.path:
 
 SF_SMALL = "/root/testdata/sf0.001"
 SF_MED = "/root/testdata/sf0.01"
+
+# Read-only checkout of the reference implementation; it may be absent.
+REFERENCE_ROOT = "/root/reference"
+
+
+def requires_reference(*relpaths):
+    """Skip the test unless every ``relpath`` exists under the reference
+    checkout; also tags it so the terminal summary can count the gates."""
+    paths = [os.path.join(REFERENCE_ROOT, p) for p in relpaths]
+    missing = [p for p in paths if not os.path.exists(p)]
+    skip = pytest.mark.skipif(
+        bool(missing), reason="reference file missing: " + ", ".join(missing)
+    )
+    tag = pytest.mark.requires_reference(*relpaths)
+    return lambda fn: tag(skip(fn))
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "requires_reference(*relpaths): needs these files of the reference checkout",
+    )
+
+
+def pytest_terminal_summary(terminalreporter):
+    """One line: how many reference gates ran and how many were skipped."""
+    ran, skipped = set(), set()
+    for category, reports in terminalreporter.stats.items():
+        for rep in reports:
+            if "requires_reference" not in getattr(rep, "keywords", {}):
+                continue
+            if category == "skipped":
+                skipped.add(rep.nodeid)
+            elif category in ("passed", "failed", "error"):
+                ran.add(rep.nodeid)
+    if ran or skipped:
+        terminalreporter.write_line(
+            f"reference gates ({REFERENCE_ROOT}): {len(ran)} ran, "
+            f"{len(skipped)} skipped"
+        )
 
 
 @pytest.fixture(scope="session")

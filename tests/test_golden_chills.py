@@ -18,7 +18,6 @@ Three layers, all anchored on the COMMITTED reference artifact
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -26,6 +25,7 @@ import sys
 
 import pytest
 
+from tests.conftest import requires_reference
 from tests.golden_chills import EMPTY, build_fixture, golden_statements
 from tests.golden_ttl import load_golden, parse_triples
 from tests.xlsx_write import write_xlsx
@@ -59,9 +59,6 @@ def _load_reference_ingest():
         np.int = int
     if "/root/reference" not in sys.path:
         sys.path.insert(0, "/root/reference")
-    spec = importlib.util.find_spec("mhdb.ingest")
-    if spec is None:
-        pytest.skip("reference checkout unavailable")
     import mhdb.ingest as ing
 
     return ing
@@ -77,6 +74,7 @@ class _FakeXls:
         return self.sheets[name]
 
 
+@requires_reference("output/chills.ttl", "mhdb/ingest.py")
 def test_fixture_replays_reference_exactly(fixture_sheets):
     ing = _load_reference_ingest()
     stmts = ing.ingest_chills(_FakeXls(fixture_sheets), statements={})
@@ -91,6 +89,7 @@ def test_fixture_replays_reference_exactly(fixture_sheets):
     assert len(golden) == 1758
 
 
+@requires_reference("output/chills.ttl")
 def test_engine_matches_golden_exactly(ray_session, workbook_path):
     from mhdb_tables2turtles_ray.pipelines.chills import chills_triples
     from mhdb_tables2turtles_ray.sources.excel import read_excel_workbook
@@ -107,6 +106,7 @@ def test_engine_matches_golden_exactly(ray_session, workbook_path):
     assert recall == 1.0, sorted(golden - ours)[:10]
 
 
+@requires_reference("output/chills.ttl")
 def test_cli_workbook_build_parses_back_to_golden(workbook_path, tmp_path):
     out_dir = str(tmp_path / "chills_kg")
     proc = subprocess.run(
@@ -143,6 +143,7 @@ def test_cli_workbook_build_parses_back_to_golden(workbook_path, tmp_path):
     assert golden_text.startswith(header)
 
 
+@requires_reference("output/chills.ttl")
 def test_generic_workbook_config_reproduces_golden(workbook_path, tmp_path):
     """The GENERIC workbook surface (build --workbook X --specs cfg.json,
     pipelines/workbook.py) expresses the whole chills module as pure

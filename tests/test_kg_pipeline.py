@@ -9,6 +9,7 @@ import shutil
 
 import pytest
 
+from tests.conftest import requires_reference
 from tests.oracle_ref import oracle_corpus_triples, precision_recall
 
 
@@ -17,7 +18,8 @@ def _triple_set(ds):
 
 
 @pytest.fixture(scope="module")
-def corpus_and_oracle(ray_session):
+def corpus_and_ours(ray_session):
+    """Corpus rows and our triple set; needs no reference checkout."""
     from mhdb_tables2turtles_ray.pipelines.kg import kg_triples
     from mhdb_tables2turtles_ray.sources.corpus import corpus_from_documents
     from mhdb_tables2turtles_ray.sources.vocab import build_vocab_bundle
@@ -25,11 +27,20 @@ def corpus_and_oracle(ray_session):
     vocab = build_vocab_bundle()
     corpus = corpus_from_documents("/root/testdata/sf0.001")
     corpus_df = corpus.to_pandas()
-    expected = oracle_corpus_triples(corpus_df, vocab)
     ours = _triple_set(kg_triples(corpus_from_documents("/root/testdata/sf0.001"), vocab))
+    return corpus_df, vocab, ours
+
+
+@pytest.fixture(scope="module")
+def corpus_and_oracle(corpus_and_ours):
+    """Adds the reference-semantics oracle's triple set (loads the
+    reference's write_ttl.py)."""
+    corpus_df, vocab, ours = corpus_and_ours
+    expected = oracle_corpus_triples(corpus_df, vocab)
     return corpus_df, expected, ours
 
 
+@requires_reference("mhdb/write_ttl.py")
 def test_triple_set_precision_recall(corpus_and_oracle):
     _, expected, ours = corpus_and_oracle
     precision, recall = precision_recall(ours, expected)
@@ -43,6 +54,7 @@ def test_triple_set_precision_recall(corpus_and_oracle):
     )
 
 
+@requires_reference("mhdb/write_ttl.py")
 def test_flagship_summary_pin_matches_reference_oracle(corpus_and_oracle):
     """The pinned sf0.001 constants in the registry's
     kg_flagship_summary oracle SQL must equal the digest of the
@@ -67,11 +79,11 @@ def test_flagship_summary_pin_matches_reference_oracle(corpus_and_oracle):
     assert pin_h == digest
 
 
-def test_sha256_invariant(corpus_and_oracle):
+def test_sha256_invariant(corpus_and_ours):
     # every corpus row's content sha256 appears as a triple object
     import hashlib
 
-    corpus_df, _, ours = corpus_and_oracle
+    corpus_df, _, ours = corpus_and_ours
     shas = {
         f'"{hashlib.sha256(c.encode()).hexdigest()}"^^xsd:string'
         for c in corpus_df["content"]
@@ -215,6 +227,7 @@ def test_multi_module_build(ray_session, tmp_path):
     assert again["repos"]["written"] == []
 
 
+@requires_reference("mhdb/write_ttl.py")
 def test_turtle_render_matches_reference_format(ray_session):
     """Our renderer's block format == reference turtle_from_dict."""
     import importlib.util

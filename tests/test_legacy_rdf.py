@@ -18,6 +18,7 @@ from mhdb_tables2turtles_ray.stages.materialize import (
     legacy_print_header,
     legacy_print_subheader,
 )
+from tests.conftest import requires_reference
 
 
 def _load(name, path):
@@ -39,16 +40,19 @@ def ref_write_ttl():
     return _load("ref_write_ttl_legacy", "/root/reference/mhdb/write_ttl.py")
 
 
+@requires_reference("mhdb/write_rdf.py")
 def test_build_import_conformance(ref_write_rdf):
     for uri in ("http://example.org/onto", "", None, "x y"):
         assert legacy_build_import(uri) == ref_write_rdf.build_import(uri)
 
 
+@requires_reference("mhdb/write_rdf.py")
 def test_print_header_default_prefixes_conformance(ref_write_rdf):
     args = ("http://example.org/kg", "1.2.0", "KG", "A test\ncomment")
     assert legacy_print_header(*args) == ref_write_rdf.print_header(*args)
 
 
+@requires_reference("mhdb/write_rdf.py")
 def test_print_header_explicit_prefixes_conformance(ref_write_rdf):
     args = ("http://example.org/kg", "0.1", "L", "C")
     prefixes = [("foo", "http://foo#"), ("bar", "http://bar/")]
@@ -57,11 +61,13 @@ def test_print_header_explicit_prefixes_conformance(ref_write_rdf):
     )
 
 
+@requires_reference("mhdb/write_rdf.py")
 def test_print_subheader_conformance(ref_write_rdf):
     for ot in ("Classes", "Object Properties", "äöü"):
         assert legacy_print_subheader(ot) == ref_write_rdf.print_subheader(ot)
 
 
+@requires_reference("mhdb/write_rdf.py")
 def test_general_axioms_conformance(ref_write_rdf):
     for classes in ([], ["A"], ["A", "B", "C_1"]):
         assert legacy_general_axioms(classes) == ref_write_rdf.print_general_axioms(
@@ -69,6 +75,7 @@ def test_general_axioms_conformance(ref_write_rdf):
         )
 
 
+@requires_reference("mhdb/write_ttl.py")
 def test_doi_statements_iri_matches_reference_check_iri(ref_write_ttl):
     """The minted DOI subject must equal what the reference's check_iri
     actually produces for the dx.doi.org URL (URL-destruction quirk)."""
@@ -90,6 +97,7 @@ def test_doi_statements_accumulates():
     assert s2[next(iter(s2))]["datacite:usesIdentifierScheme"] == {"datacite:doi"}
 
 
+@requires_reference("mhdb/write_ttl.py", "mhdb/unused_functions.py")
 def test_reference_doi_iri_is_dead_code(ref_write_ttl):
     """Documented claim check: the reference doi_iri raises NameError
     (undefined add_if) — our reconstruction is the running surface."""

@@ -13,6 +13,7 @@ from mhdb_tables2turtles_ray.functions.schemes import (
     scheme_for,
     scheme_predicate,
 )
+from tests.conftest import requires_reference
 
 
 def _load(name, path):
@@ -50,11 +51,13 @@ CURIES = [
 ]
 
 
+@requires_reference("mhdb/write_rdf.py")
 def test_scheme_for_matches(ref_rdf):
     for c in CURIES:
         assert scheme_for(c, SCHEMES) == ref_rdf.owl_or_skos(c, SCHEMES), c
 
 
+@requires_reference("mhdb/write_rdf.py")
 def test_scheme_predicate_matches(ref_rdf):
     for left in ("OWL", "SKOS"):
         for c in CURIES:
@@ -64,6 +67,7 @@ def test_scheme_predicate_matches(ref_rdf):
                 ), (left, c, rel)
 
 
+@requires_reference("mhdb/write_rdf.py")
 def test_legacy_header_prefixes_matches(ref_rdf):
     from mhdb_tables2turtles_ray.stages.materialize import (
         write_legacy_header_prefixes,
@@ -78,6 +82,7 @@ def test_legacy_header_prefixes_matches(ref_rdf):
     )
 
 
+@requires_reference("mhdb/unused_functions.py")
 def test_gen_questions_matches(ref_unused):
     cases = [
         ("feels anxious", "Do you", "often?", "On a scale of 1-5,"),

@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from mhdb_tables2turtles_ray.functions import strings as ours
+from tests.conftest import requires_reference
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,7 @@ CORPUS = [
 CASINGS = ["PascalCase", "camelCase", "delimited"]
 
 
+@requires_reference("mhdb/write_ttl.py")
 def test_clean_string_matches(ref):
     for s in CORPUS:
         assert ours.clean_string(s) == ref.return_string(s), repr(s)
@@ -75,12 +77,14 @@ def test_clean_string_matches(ref):
         ), repr(s)
 
 
+@requires_reference("mhdb/write_ttl.py")
 def test_language_string_matches(ref):
     for s in CORPUS:
         assert ours.language_string(s) == ref.language_string(s), repr(s)
     assert ours.language_string("bonjour", "fr") == ref.language_string("bonjour", "fr")
 
 
+@requires_reference("mhdb/write_ttl.py")
 def test_convert_string_to_label_matches(ref):
     for s in CORPUS:
         if not isinstance(s, str):
@@ -91,6 +95,7 @@ def test_convert_string_to_label_matches(ref):
             ), (repr(s), casing)
 
 
+@requires_reference("mhdb/write_ttl.py")
 def test_convert_label_raises_on_empty(ref):
     with pytest.raises(Exception):
         ref.convert_string_to_label("")
@@ -98,6 +103,7 @@ def test_convert_label_raises_on_empty(ref):
         ours.convert_string_to_label("")
 
 
+@requires_reference("mhdb/write_ttl.py")
 def test_check_iri_matches(ref):
     for s in CORPUS:
         for casing in CASINGS:
@@ -107,6 +113,7 @@ def test_check_iri_matches(ref):
             )
 
 
+@requires_reference("mhdb/write_ttl.py")
 def test_create_label_matches(ref):
     # Reference create_label (write_ttl.py:104-137) imports return_string /
     # convert_string_to_label from mhdb.spreadsheet_io, which does not export

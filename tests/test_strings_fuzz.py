@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhdb_tables2turtles_ray.functions import strings as ours
+from tests.conftest import requires_reference
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +35,7 @@ TEXT = st.one_of(
 )
 
 
+@requires_reference("mhdb/write_ttl.py")
 @settings(max_examples=400, deadline=None)
 @given(TEXT)
 def test_clean_and_language_string_fuzz(ref_mod_holder, s):
@@ -42,6 +44,7 @@ def test_clean_and_language_string_fuzz(ref_mod_holder, s):
     assert ours.language_string(s) == ref.language_string(s)
 
 
+@requires_reference("mhdb/write_ttl.py")
 @settings(max_examples=400, deadline=None)
 @given(TEXT, st.sampled_from(["PascalCase", "camelCase", "delimited"]))
 def test_check_iri_fuzz(ref_mod_holder, s, casing):
@@ -58,6 +61,7 @@ def test_check_iri_fuzz(ref_mod_holder, s, casing):
         assert ours.check_iri(s, casing) == expected, repr(s)
 
 
+@requires_reference("mhdb/write_ttl.py")
 @settings(max_examples=400, deadline=None)
 @given(TEXT, st.sampled_from(["PascalCase", "camelCase", "delimited"]))
 def test_convert_label_fuzz(ref_mod_holder, s, casing):

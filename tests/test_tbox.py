@@ -10,6 +10,8 @@ import sys
 
 import pytest
 
+from tests.conftest import requires_reference
+
 _EXCLUDE = {"EmptyValue", "", "NaN", "NAN", "nan", None}
 
 
@@ -74,6 +76,7 @@ def _oracle_tbox(classes_df, properties_df, ref):
     return triples
 
 
+@requires_reference("mhdb/write_ttl.py")
 def test_tbox_matches_reference_semantics(ray_session, ref):
     from mhdb_tables2turtles_ray.pipelines.tbox import (
         fixture_classes_table,

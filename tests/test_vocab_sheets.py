@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from tests.conftest import requires_reference
+
 _EXCLUDE = {"EmptyValue", "", "NaN", "NAN", "nan", None}
 
 
@@ -57,6 +59,7 @@ def _oracle(sheet_df, ref):
     return triples
 
 
+@requires_reference("mhdb/write_ttl.py")
 def test_language_sheet_matches_reference_semantics(ray_session, ref):
     from mhdb_tables2turtles_ray.pipelines.vocab_sheets import (
         fixture_languages_sheet,
